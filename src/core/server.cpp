@@ -242,7 +242,7 @@ void ProtocolServer::handle_result_reply(net::Context& ctx, std::span<const std:
   } catch (const CodecError&) {
     return;
   }
-  auto done = check_done(cfg_, msg.done);
+  auto done = check_done(cfg_, msg.done, &memo_);
   if (!done || done->id.transfer != msg.transfer) return;
   record_done(&ctx, *done, msg.done);
 }
@@ -603,7 +603,7 @@ ProtocolServer::ContributorState& ProtocolServer::contributor_state(net::Context
 
 void ProtocolServer::handle_init(net::Context& ctx, const SignedMessage& env) {
   if (!is_b() || !active()) return;
-  auto init = check_init(cfg_, env);
+  auto init = check_init(cfg_, env, &memo_);
   if (!init) return;
   // Mont-muls spent while serving the request are the "online" cost; with a
   // warm pool the bundle here is precomputed and this stays near zero.
@@ -629,7 +629,7 @@ void ProtocolServer::handle_init(net::Context& ctx, const SignedMessage& env) {
 
 void ProtocolServer::handle_reveal(net::Context& ctx, const SignedMessage& env) {
   if (!is_b() || !active()) return;
-  auto reveal = check_reveal(cfg_, env);
+  auto reveal = check_reveal(cfg_, env, &memo_);
   if (!reveal) return;
   auto it = contributor_.find(reveal->id);
   if (it == contributor_.end()) return;  // never committed for this instance
@@ -723,7 +723,7 @@ void ProtocolServer::start_coordinator(net::Context& ctx, TransferId transfer,
 
 void ProtocolServer::handle_commit(net::Context& ctx, const SignedMessage& env) {
   if (!is_b()) return;
-  auto commit = check_commit(cfg_, env);
+  auto commit = check_commit(cfg_, env, &memo_);
   if (!commit) return;
   auto it = coordinator_.find(commit->id);
   if (it == coordinator_.end()) return;
@@ -778,10 +778,10 @@ void ProtocolServer::handle_contribute(net::Context& ctx, const SignedMessage& e
       // folded into ONE combined RLC pass at the drain, across however many
       // transfers are pending (drain_verifies_cross).
       task = std::make_shared<std::packaged_task<void()>>(
-          [this, &pv] { pv.result = precheck_contribute_batch(cfg_, pv.env); });
+          [this, &pv] { pv.result = precheck_contribute_batch(cfg_, pv.env, &memo_); });
     } else {
       task = std::make_shared<std::packaged_task<void()>>(
-          [this, &pv] { pv.result = check_contribute(cfg_, pv.env); });
+          [this, &pv] { pv.result = check_contribute(cfg_, pv.env, &memo_); });
     }
     pv.done = task->get_future();
     verify_pool_->submit([task] { (*task)(); });
@@ -789,8 +789,8 @@ void ProtocolServer::handle_contribute(net::Context& ctx, const SignedMessage& e
     ctx.set_timer(0, kTimerVerifyDrain);
     return;
   }
-  auto contribute = opts_.batch_verify ? check_contribute_batch(cfg_, env, ctx.rng())
-                                       : check_contribute(cfg_, env);
+  auto contribute = opts_.batch_verify ? check_contribute_batch(cfg_, env, ctx.rng(), &memo_)
+                                       : check_contribute(cfg_, env, &memo_);
   if (!contribute) {
     record_contribute_verdict(ctx, env, nullptr);
     return;
@@ -1120,7 +1120,7 @@ void ProtocolServer::sign_session_retry(net::Context& ctx, std::uint64_t session
 }
 
 void ProtocolServer::handle_sign_commit_reply(net::Context& ctx, const SignedMessage& env) {
-  if (!envelope_signature_ok(cfg_, env)) return;
+  if (!envelope_signature_ok(cfg_, env, &memo_)) return;
   if (env.service != static_cast<std::uint8_t>(secrets_.role)) return;
   SignCommitReplyMsg msg;
   try {
@@ -1161,7 +1161,7 @@ void ProtocolServer::handle_sign_commit_reply(net::Context& ctx, const SignedMes
 }
 
 void ProtocolServer::handle_sign_reveal_reply(net::Context& ctx, const SignedMessage& env) {
-  if (!envelope_signature_ok(cfg_, env)) return;
+  if (!envelope_signature_ok(cfg_, env, &memo_)) return;
   if (env.service != static_cast<std::uint8_t>(secrets_.role)) return;
   SignRevealReplyMsg msg;
   try {
@@ -1201,7 +1201,7 @@ void ProtocolServer::handle_sign_reveal_reply(net::Context& ctx, const SignedMes
 }
 
 void ProtocolServer::handle_sign_partial_reply(net::Context& ctx, const SignedMessage& env) {
-  if (!envelope_signature_ok(cfg_, env)) return;
+  if (!envelope_signature_ok(cfg_, env, &memo_)) return;
   if (env.service != static_cast<std::uint8_t>(secrets_.role)) return;
   SignPartialReplyMsg msg;
   try {
@@ -1222,8 +1222,9 @@ void ProtocolServer::handle_sign_partial_reply(net::Context& ctx, const SignedMe
   mpz::Bigint r_joint = threshold::combine_nonce(cfg_.params, reveals);
   mpz::Bigint e = zkp::schnorr_challenge(cfg_.params, r_joint, my_service().signing_key.point(),
                                     ss.payload);
-  const threshold::FeldmanCommitments& commits = my_service().sign_commitments;
-  if (!threshold::verify_partial_signature(cfg_.params, commits, rit->second, msg.partial, e)) {
+  const mpz::Bigint h_i =
+      memo_.feldman_key(cfg_.params, my_service().sign_commitments, msg.partial.index);
+  if (!threshold::verify_partial_signature(cfg_.params, h_i, rit->second, msg.partial, e)) {
     // Identifiable abort: this member provably misbehaved — retry without it.
     SignSession dead = std::move(it->second);
     sign_sessions_.erase(it);
@@ -1310,7 +1311,7 @@ void ProtocolServer::handle_sign_request(net::Context& ctx, const SignedMessage&
   // have none, and a pending member's old share would produce partials the
   // re-shared joint key rejects.
   if (!active() || share_pending_) return;
-  if (!envelope_signature_ok(cfg_, env)) return;
+  if (!envelope_signature_ok(cfg_, env, &memo_)) return;
   if (env.service != static_cast<std::uint8_t>(secrets_.role)) return;
   SignRequestMsg msg;
   try {
@@ -1324,9 +1325,10 @@ void ProtocolServer::handle_sign_request(net::Context& ctx, const SignedMessage&
   auto purpose = static_cast<SignPurpose>(msg.purpose);
   if (purpose == SignPurpose::kBlind) {
     if (!is_b()) return;
-    bool ok = opts_.batch_verify
-                  ? check_blind_sign_request_batch(cfg_, msg.payload, msg.evidence, ctx.rng())
-                  : check_blind_sign_request(cfg_, msg.payload, msg.evidence);
+    bool ok = opts_.batch_verify ? check_blind_sign_request_batch(cfg_, msg.payload, msg.evidence,
+                                                                  ctx.rng(), &memo_)
+                                 : check_blind_sign_request(cfg_, msg.payload, msg.evidence,
+                                                            &memo_);
     if (!ok) {
       metrics_.verify_fail.inc();
       if (opts_.batch_verify) metrics_.batch_fallbacks.inc();
@@ -1348,9 +1350,9 @@ void ProtocolServer::handle_sign_request(net::Context& ctx, const SignedMessage&
     auto sit = stored_.find(payload.id.transfer);
     if (sit == stored_.end()) return;
     bool ok = opts_.batch_verify ? check_done_sign_request_batch(cfg_, msg.payload, msg.evidence,
-                                                                 sit->second, ctx.rng())
+                                                                 sit->second, ctx.rng(), &memo_)
                                  : check_done_sign_request(cfg_, msg.payload, msg.evidence,
-                                                           sit->second);
+                                                           sit->second, &memo_);
     if (!ok) {
       metrics_.verify_fail.inc();
       if (opts_.batch_verify) metrics_.batch_fallbacks.inc();
@@ -1387,7 +1389,7 @@ void ProtocolServer::handle_sign_request(net::Context& ctx, const SignedMessage&
 }
 
 void ProtocolServer::handle_sign_quorum(net::Context& ctx, const SignedMessage& env) {
-  if (!envelope_signature_ok(cfg_, env)) return;
+  if (!envelope_signature_ok(cfg_, env, &memo_)) return;
   if (env.service != static_cast<std::uint8_t>(secrets_.role)) return;
   SignQuorumMsg msg;
   try {
@@ -1417,7 +1419,7 @@ void ProtocolServer::handle_sign_quorum(net::Context& ctx, const SignedMessage& 
 }
 
 void ProtocolServer::handle_sign_reveal_set(net::Context& ctx, const SignedMessage& env) {
-  if (!envelope_signature_ok(cfg_, env)) return;
+  if (!envelope_signature_ok(cfg_, env, &memo_)) return;
   if (env.service != static_cast<std::uint8_t>(secrets_.role)) return;
   SignRevealSetMsg msg;
   try {
@@ -1456,7 +1458,7 @@ void ProtocolServer::handle_sign_reveal_set(net::Context& ctx, const SignedMessa
 
 void ProtocolServer::handle_blind(net::Context& ctx, const ServiceSignedMsg& msg) {
   if (is_b() || !active()) return;
-  auto blind = check_blind(cfg_, msg);
+  auto blind = check_blind(cfg_, msg, &memo_);
   if (!blind) return;
   if (seen_blind_.contains(blind->id)) return;
 
@@ -1519,7 +1521,7 @@ void ProtocolServer::start_responder(net::Context& ctx, const InstanceId& id) {
 
 void ProtocolServer::handle_decrypt_request(net::Context& ctx, const SignedMessage& env) {
   if (is_b() || !active() || share_pending_) return;
-  if (!envelope_signature_ok(cfg_, env)) return;
+  if (!envelope_signature_ok(cfg_, env, &memo_)) return;
   if (env.service != static_cast<std::uint8_t>(ServiceRole::kServiceA)) return;
   DecryptRequestMsg msg;
   try {
@@ -1536,7 +1538,7 @@ void ProtocolServer::handle_decrypt_request(net::Context& ctx, const SignedMessa
   }
   // Self-verifying decryption request (step 6(b)): the service-signed blind
   // message is the evidence that decrypting E_A(mρ) is authorized.
-  auto blind = check_blind(cfg_, msg.blind);
+  auto blind = check_blind(cfg_, msg.blind, &memo_);
   if (!blind || !(blind->id == msg.id)) return;
   auto sit = stored_.find(msg.id.transfer);
   if (sit == stored_.end()) return;
@@ -1556,7 +1558,7 @@ void ProtocolServer::handle_decrypt_request(net::Context& ctx, const SignedMessa
 
 void ProtocolServer::handle_decrypt_share_reply(net::Context& ctx, const SignedMessage& env) {
   if (is_b() || !active()) return;
-  if (!envelope_signature_ok(cfg_, env)) return;
+  if (!envelope_signature_ok(cfg_, env, &memo_)) return;
   if (env.service != static_cast<std::uint8_t>(ServiceRole::kServiceA)) return;
   DecryptShareReplyMsg msg;
   try {
@@ -1569,8 +1571,8 @@ void ProtocolServer::handle_decrypt_share_reply(net::Context& ctx, const SignedM
   ResponderState& st = it->second;
   if (st.signing || st.sent_done || !seen_blind_.contains(msg.id)) return;
   if (msg.share.index != env.signer) return;
-  if (!threshold::verify_decryption_share(cfg_.params, cfg_.a.enc_commitments, st.ea_m_rho,
-                                          msg.share, decrypt_context(msg.id))) {
+  if (!decryption_share_ok(cfg_.params, cfg_.a, st.ea_m_rho, msg.share, decrypt_context(msg.id),
+                           &memo_)) {
     metrics_.verify_fail.inc();
     emit_trace(ctx, obs::EventKind::kVerifyFail, &msg.id,
                {.peer = env.signer,
@@ -1619,7 +1621,7 @@ void ProtocolServer::handle_decrypt_share_reply(net::Context& ctx, const SignedM
 
 void ProtocolServer::handle_done(net::Context& ctx, const ServiceSignedMsg& msg) {
   if (!is_b()) return;
-  auto done = check_done(cfg_, msg);
+  auto done = check_done(cfg_, msg, &memo_);
   if (!done) return;
   record_done(&ctx, *done, msg);
 }
@@ -1841,7 +1843,7 @@ void ProtocolServer::start_reconfig_round(net::Context& ctx, const ReconfigSpec&
 }
 
 void ProtocolServer::handle_reconfig_start(net::Context& ctx, const SignedMessage& env) {
-  if (!envelope_signature_ok(cfg_, env)) return;
+  if (!envelope_signature_ok(cfg_, env, &memo_)) return;
   ReconfigStartMsg msg;
   try {
     msg = decode_as<ReconfigStartMsg>(MsgType::kReconfigStart, env.body);
@@ -2021,7 +2023,7 @@ void ProtocolServer::handle_reconfig_apply(net::Context& ctx, const SignedMessag
 }
 
 void ProtocolServer::handle_reconfig_echo(net::Context& ctx, const SignedMessage& env) {
-  if (!envelope_signature_ok(cfg_, env)) return;
+  if (!envelope_signature_ok(cfg_, env, &memo_)) return;
   ReconfigEchoMsg msg;
   try {
     msg = decode_as<ReconfigEchoMsg>(MsgType::kReconfigEcho, env.body);
@@ -2141,9 +2143,11 @@ void ProtocolServer::install_config(net::Context& ctx, const SignedMessage& appl
   }
 
   // 6. The invalidation cascade restore() models (PR 5), now at an epoch
-  //    boundary: pinned fixed-base tables, pooled bundles, and the offline
-  //    prng all die with the configuration that created them.
+  //    boundary: pinned fixed-base tables, remembered verdicts and cached
+  //    Feldman verification keys, pooled bundles, and the offline prng all
+  //    die with the configuration that created them.
   cfg_.params.reset_base_caches();
+  memo_.reset(cfg_epoch_);
   cfg_.params.pin_base(cfg_.a.encryption_key.y());
   cfg_.params.pin_base(cfg_.b.encryption_key.y());
   cfg_.params.pin_base(cfg_.params.mul(cfg_.a.encryption_key.y(), cfg_.b.encryption_key.y()));
@@ -2444,6 +2448,7 @@ void ProtocolServer::restore(std::span<const std::uint8_t> snap) {
   cfg_ = initial_cfg_;
   secrets_ = initial_secrets_;
   cfg_epoch_ = 0;
+  memo_.reset(cfg_epoch_);
   opts_.max_coordinators =
       initial_max_coordinators_ == 0 ? initial_cfg_.b.cfg.f + 1 : initial_max_coordinators_;
   reconfig_round_.reset();
@@ -2496,7 +2501,7 @@ void ProtocolServer::restore(std::span<const std::uint8_t> snap) {
     // Rebuild results from the durable done messages, re-validating each one
     // (a snapshot is data, not an authority on signature validity).
     for (const ServiceSignedMsg& m : dones) {
-      auto done = check_done(cfg_, m);
+      auto done = check_done(cfg_, m, &memo_);
       if (done) record_done(nullptr, *done, m);
     }
   } catch (const CodecError&) {
@@ -2630,6 +2635,7 @@ void ProtocolServer::resolve_metrics(net::Context& ctx) {
   metrics_.verify_pass = reg.counter("dblind_verify_total", {{"node", node}, {"result", "pass"}});
   metrics_.verify_fail = reg.counter("dblind_verify_total", {{"node", node}, {"result", "fail"}});
   metrics_.batch_fallbacks = reg.counter("dblind_batch_verify_fallbacks_total", by_node);
+  memo_.set_metrics(reg, by_node);
   metrics_.verify_queue_depth =
       reg.histogram("dblind_verify_queue_depth", by_node, {0, 1, 2, 4, 8, 16, 32});
   metrics_.verify_drain_batch =

@@ -41,6 +41,7 @@
 #include "core/reconfig.hpp"
 #include "core/transfer_engine.hpp"
 #include "core/validity.hpp"
+#include "core/verdict_memo.hpp"
 #include "core/verify_pool.hpp"
 #include "hash/sha256.hpp"
 #include "net/sim.hpp"
@@ -139,6 +140,8 @@ class ProtocolServer final : public net::Node {
   [[nodiscard]] bool share_pending() const { return share_pending_; }
   // This server's current view of the system configuration.
   [[nodiscard]] const SystemConfig& config() const { return cfg_; }
+  // This server's memo of verified signatures and proofs (tests inspect it).
+  [[nodiscard]] const VerdictMemo& verdict_memo() const { return memo_; }
 
   // --- observability types ----------------------------------------------------
   // Optional fields of a trace event; which ones an event uses depends on
@@ -591,6 +594,11 @@ class ProtocolServer final : public net::Node {
     std::future<void> done;
   };
   std::deque<PendingVerify> pending_verifies_;
+  // Verify once (core/verdict_memo.hpp): positive verdicts this node computed,
+  // scoped to cfg_epoch_ and reset by install_config and restore(). Shared
+  // with the VerifyPool workers (it locks internally), so it is declared
+  // before verify_pool_ and outlives every worker.
+  VerdictMemo memo_;
   std::unique_ptr<VerifyPool> verify_pool_;
 
   // Offline/online contribution split (B contributors). The dedicated prng is

@@ -1,6 +1,7 @@
 #include "core/validity.hpp"
 
 #include <deque>
+#include <numeric>
 #include <set>
 
 namespace dblind::core {
@@ -19,7 +20,121 @@ std::optional<T> try_decode(MsgType type, std::span<const std::uint8_t> body) {
   }
 }
 
+// --- verify once (core/verdict_memo.hpp) ---------------------------------------
+//
+// Each key covers the verifying key and the exact bytes a verdict depends on;
+// the epoch is the memo's installed config epoch.
+
+VerdictKey envelope_key(const VerdictMemo& memo, const zkp::SchnorrVerifyKey& key,
+                        const SignedMessage& env) {
+  // (cfg_epoch, body) are exactly the epoch-prefixed bytes the signature covers.
+  return VerdictKeyBuilder(VerdictKind::kEnvelope, memo.epoch())
+      .add(env.service)
+      .add(env.signer)
+      .add(key.point())
+      .add(env.cfg_epoch)
+      .add(env.body)
+      .add(env.sig.r)
+      .add(env.sig.s)
+      .finish();
+}
+
+VerdictKey service_sig_key(const VerdictMemo& memo, const zkp::SchnorrVerifyKey& key,
+                           const ServiceSignedMsg& msg) {
+  return VerdictKeyBuilder(VerdictKind::kServiceSig, memo.epoch())
+      .add(msg.service)
+      .add(key.point())
+      .add(msg.body)
+      .add(msg.sig.r)
+      .add(msg.sig.s)
+      .finish();
+}
+
+// A contribute body holds the whole VDE statement and proof: the instance id
+// and server (the proof context), both ciphertexts and the proof itself.
+VerdictKey vde_key(const VerdictMemo& memo, const SystemConfig& cfg, const SignedMessage& env) {
+  return VerdictKeyBuilder(VerdictKind::kVde, memo.epoch())
+      .add(cfg.a.encryption_key.y())
+      .add(cfg.b.encryption_key.y())
+      .add(env.body)
+      .finish();
+}
+
+VerdictKey decrypt_share_key(const VerdictMemo& memo, const mpz::Bigint& h_i,
+                             const elgamal::Ciphertext& c, const threshold::DecryptionShare& ds,
+                             std::string_view context) {
+  return VerdictKeyBuilder(VerdictKind::kDecryptShare, memo.epoch())
+      .add(ds.index)
+      .add(h_i)
+      .add(c.a)
+      .add(std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>(context.data()),
+                                         context.size()))
+      .add(ds.d)
+      .add(ds.proof.t1)
+      .add(ds.proof.t2)
+      .add(ds.proof.s)
+      .finish();
+}
+
+// One check: runs `run` directly without a memo, else through it.
+template <typename KeyOf, typename Run>
+bool check_once(VerdictMemo* memo, KeyOf&& key_of, Run&& run) {
+  return memo == nullptr ? run() : memo->check(key_of(*memo), run);
+}
+
+// A batch of `n` checks: `run(positions)` verifies the given positions
+// together. Without a memo it gets all of them; with one, only those whose
+// verdicts are not remembered.
+template <typename KeyAt, typename Run>
+bool check_each(VerdictMemo* memo, std::size_t n, KeyAt&& key_at, Run&& run) {
+  if (memo == nullptr) {
+    std::vector<std::size_t> all(n);
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    return run(std::span<const std::size_t>(all));
+  }
+  std::vector<VerdictKey> keys;
+  keys.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) keys.push_back(key_at(*memo, i));
+  return memo->check_all(std::span<const VerdictKey>(keys), run);
+}
+
+bool service_signature_ok(const ServicePublic& svc, const ServiceSignedMsg& msg,
+                          VerdictMemo* memo) {
+  return check_once(
+      memo, [&](const VerdictMemo& m) { return service_sig_key(m, svc.signing_key, msg); },
+      [&] { return svc.signing_key.verify(msg.body, msg.sig); });
+}
+
+bool contribute_vde_ok(const SystemConfig& cfg, const SignedMessage& env,
+                       const ContributeMsg& msg, VerdictMemo* memo) {
+  return check_once(
+      memo, [&](const VerdictMemo& m) { return vde_key(m, cfg, env); },
+      [&] {
+        return zkp::vde_verify(cfg.a.encryption_key, msg.contribution.ea, cfg.b.encryption_key,
+                               msg.contribution.eb, msg.vde, vde_context(msg.id, msg.server));
+      });
+}
+
+// The Feldman verification key h_i of share `index`: from the memo's
+// per-epoch cache when one is given, else computed.
+mpz::Bigint verification_key(const group::GroupParams& params,
+                             const threshold::FeldmanCommitments& commitments,
+                             std::uint32_t index, VerdictMemo* memo) {
+  return memo != nullptr ? memo->feldman_key(params, commitments, index)
+                         : threshold::feldman_eval(params, commitments, index);
+}
+
 }  // namespace
+
+bool decryption_share_ok(const group::GroupParams& params, const ServicePublic& svc,
+                         const elgamal::Ciphertext& c, const threshold::DecryptionShare& ds,
+                         std::string_view context, VerdictMemo* memo) {
+  if (ds.index == 0) return false;
+  const mpz::Bigint h_i = verification_key(params, svc.enc_commitments, ds.index, memo);
+  return check_once(
+      memo, [&](const VerdictMemo& m) { return decrypt_share_key(m, h_i, c, ds, context); },
+      [&] { return threshold::verify_decryption_share(params, h_i, c, ds, context); });
+}
 
 std::vector<std::uint8_t> epoch_signed_bytes(ConfigEpoch epoch,
                                              std::span<const std::uint8_t> body) {
@@ -33,11 +148,15 @@ std::vector<std::uint8_t> epoch_signed_bytes(ConfigEpoch epoch,
   return out;
 }
 
-bool envelope_signature_ok(const SystemConfig& cfg, const SignedMessage& env) {
+bool envelope_signature_ok(const SystemConfig& cfg, const SignedMessage& env,
+                           VerdictMemo* memo) {
   if (env.service > 1) return false;
   const ServicePublic& svc = cfg.service(static_cast<ServiceRole>(env.service));
   if (env.signer == 0 || env.signer > svc.cfg.n) return false;
-  return svc.server_key(env.signer).verify(epoch_signed_bytes(env.cfg_epoch, env.body), env.sig);
+  const zkp::SchnorrVerifyKey& key = svc.server_key(env.signer);
+  return check_once(
+      memo, [&](const VerdictMemo& m) { return envelope_key(m, key, env); },
+      [&] { return key.verify(epoch_signed_bytes(env.cfg_epoch, env.body), env.sig); });
 }
 
 SignedMessage make_envelope(const SystemConfig& cfg, const ServerSecrets& me,
@@ -54,8 +173,9 @@ SignedMessage make_envelope(const SystemConfig& cfg, const ServerSecrets& me,
   return env;
 }
 
-std::optional<InitMsg> check_init(const SystemConfig& cfg, const SignedMessage& env) {
-  if (!envelope_signature_ok(cfg, env)) return std::nullopt;
+std::optional<InitMsg> check_init(const SystemConfig& cfg, const SignedMessage& env,
+                                  VerdictMemo* memo) {
+  if (!envelope_signature_ok(cfg, env, memo)) return std::nullopt;
   auto msg = try_decode<InitMsg>(MsgType::kInit, env.body);
   if (!msg) return std::nullopt;
   // The init message is the coordinator announcing its own instance.
@@ -64,8 +184,9 @@ std::optional<InitMsg> check_init(const SystemConfig& cfg, const SignedMessage& 
   return msg;
 }
 
-std::optional<CommitMsg> check_commit(const SystemConfig& cfg, const SignedMessage& env) {
-  if (!envelope_signature_ok(cfg, env)) return std::nullopt;
+std::optional<CommitMsg> check_commit(const SystemConfig& cfg, const SignedMessage& env,
+                                      VerdictMemo* memo) {
+  if (!envelope_signature_ok(cfg, env, memo)) return std::nullopt;
   auto msg = try_decode<CommitMsg>(MsgType::kCommit, env.body);
   if (!msg) return std::nullopt;
   if (env.service != static_cast<std::uint8_t>(ServiceRole::kServiceB)) return std::nullopt;
@@ -73,8 +194,9 @@ std::optional<CommitMsg> check_commit(const SystemConfig& cfg, const SignedMessa
   return msg;
 }
 
-std::optional<RevealMsg> check_reveal(const SystemConfig& cfg, const SignedMessage& env) {
-  if (!envelope_signature_ok(cfg, env)) return std::nullopt;
+std::optional<RevealMsg> check_reveal(const SystemConfig& cfg, const SignedMessage& env,
+                                      VerdictMemo* memo) {
+  if (!envelope_signature_ok(cfg, env, memo)) return std::nullopt;
   auto msg = try_decode<RevealMsg>(MsgType::kReveal, env.body);
   if (!msg) return std::nullopt;
   if (env.service != static_cast<std::uint8_t>(ServiceRole::kServiceB)) return std::nullopt;
@@ -87,7 +209,7 @@ std::optional<RevealMsg> check_reveal(const SystemConfig& cfg, const SignedMessa
     // I6: the commit set justifying a reveal must come from the reveal's own
     // configuration epoch — no splicing evidence across reconfigurations.
     if (commit_env.cfg_epoch != env.cfg_epoch) return std::nullopt;
-    auto commit = check_commit(cfg, commit_env);
+    auto commit = check_commit(cfg, commit_env, memo);
     if (!commit) return std::nullopt;
     if (commit->id != msg->id) return std::nullopt;
     if (!seen.insert(commit->server).second) return std::nullopt;  // must be different servers
@@ -95,8 +217,9 @@ std::optional<RevealMsg> check_reveal(const SystemConfig& cfg, const SignedMessa
   return msg;
 }
 
-std::optional<ContributeMsg> check_contribute(const SystemConfig& cfg, const SignedMessage& env) {
-  if (!envelope_signature_ok(cfg, env)) return std::nullopt;
+std::optional<ContributeMsg> check_contribute(const SystemConfig& cfg, const SignedMessage& env,
+                                              VerdictMemo* memo) {
+  if (!envelope_signature_ok(cfg, env, memo)) return std::nullopt;
   auto msg = try_decode<ContributeMsg>(MsgType::kContribute, env.body);
   if (!msg) return std::nullopt;
   if (env.service != static_cast<std::uint8_t>(ServiceRole::kServiceB)) return std::nullopt;
@@ -107,7 +230,7 @@ std::optional<ContributeMsg> check_contribute(const SystemConfig& cfg, const Sig
 
   // (iii) the encrypted contribution corresponds to the commitment in the
   // included reveal message (which must itself be valid, with matching id).
-  auto reveal = check_reveal(cfg, msg->reveal);
+  auto reveal = check_reveal(cfg, msg->reveal, memo);
   if (!reveal || reveal->id != msg->id) return std::nullopt;
   bool committed = false;
   for (const SignedMessage& commit_env : reveal->commits) {
@@ -120,26 +243,26 @@ std::optional<ContributeMsg> check_contribute(const SystemConfig& cfg, const Sig
   if (!committed) return std::nullopt;
 
   // (ii) valid verifiable dual encryption proof, bound to (instance, server).
-  if (!zkp::vde_verify(cfg.a.encryption_key, msg->contribution.ea, cfg.b.encryption_key,
-                       msg->contribution.eb, msg->vde, vde_context(msg->id, msg->server)))
-    return std::nullopt;
+  if (!contribute_vde_ok(cfg, env, *msg, memo)) return std::nullopt;
   return msg;
 }
 
-std::optional<BlindPayload> check_blind(const SystemConfig& cfg, const ServiceSignedMsg& msg) {
+std::optional<BlindPayload> check_blind(const SystemConfig& cfg, const ServiceSignedMsg& msg,
+                                        VerdictMemo* memo) {
   if (msg.service != static_cast<std::uint8_t>(ServiceRole::kServiceB)) return std::nullopt;
-  if (!cfg.b.signing_key.verify(msg.body, msg.sig)) return std::nullopt;
+  if (!service_signature_ok(cfg.b, msg, memo)) return std::nullopt;
   return try_decode<BlindPayload>(MsgType::kBlind, msg.body);
 }
 
-std::optional<DonePayload> check_done(const SystemConfig& cfg, const ServiceSignedMsg& msg) {
+std::optional<DonePayload> check_done(const SystemConfig& cfg, const ServiceSignedMsg& msg,
+                                      VerdictMemo* memo) {
   if (msg.service != static_cast<std::uint8_t>(ServiceRole::kServiceA)) return std::nullopt;
-  if (!cfg.a.signing_key.verify(msg.body, msg.sig)) return std::nullopt;
+  if (!service_signature_ok(cfg.a, msg, memo)) return std::nullopt;
   return try_decode<DonePayload>(MsgType::kDone, msg.body);
 }
 
 bool check_blind_sign_request(const SystemConfig& cfg, std::span<const std::uint8_t> payload,
-                              std::span<const std::uint8_t> evidence) {
+                              std::span<const std::uint8_t> evidence, VerdictMemo* memo) {
   auto blind = [&]() -> std::optional<BlindPayload> {
     return try_decode<BlindPayload>(MsgType::kBlind, payload);
   }();
@@ -161,7 +284,7 @@ bool check_blind_sign_request(const SystemConfig& cfg, std::span<const std::uint
   for (const SignedMessage& env : ev.contributes) {
     // I6: the f+1 contributions must all be stamped with one config epoch.
     if (env.cfg_epoch != ev.contributes.front().cfg_epoch) return false;
-    auto c = check_contribute(cfg, env);
+    auto c = check_contribute(cfg, env, memo);
     if (!c) return false;
     if (c->id != blind->id) return false;
     if (!servers.insert(c->server).second) return false;
@@ -192,50 +315,77 @@ bool check_blind_sign_request(const SystemConfig& cfg, std::span<const std::uint
 
 namespace {
 
-using SigBatch = std::vector<zkp::BatchEntry>;
+// The envelope signatures of one evidence check, verified together in one
+// Schnorr batch equation. With a memo, signatures this node already verified
+// drop out of the batch, and the rest are remembered once the batch passes.
+class SigBatch {
+ public:
+  explicit SigBatch(VerdictMemo* memo) : memo_(memo) {}
 
-// Owns the epoch-prefixed byte strings referenced (as spans) by SigBatch
-// entries. A deque keeps element addresses stable across growth, which the
-// spans inside zkp::BatchEntry rely on.
-using SignedBytesArena = std::deque<std::vector<std::uint8_t>>;
+  void add(const zkp::SchnorrVerifyKey& key, const SignedMessage& env) {
+    items_.push_back({&key, &env});
+  }
 
-std::span<const std::uint8_t> arena_signed_bytes(SignedBytesArena& arena, const SignedMessage& env) {
-  arena.push_back(epoch_signed_bytes(env.cfg_epoch, env.body));
-  return arena.back();
-}
+  [[nodiscard]] bool verify(const group::GroupParams& params) const {
+    return check_each(
+        memo_, items_.size(),
+        [&](const VerdictMemo& m, std::size_t i) {
+          return envelope_key(m, *items_[i].key, *items_[i].env);
+        },
+        [&](std::span<const std::size_t> which) {
+          // A deque keeps the epoch-prefixed byte strings at stable addresses
+          // for the spans inside zkp::BatchEntry.
+          std::deque<std::vector<std::uint8_t>> signed_bytes;
+          std::vector<zkp::BatchEntry> batch;
+          batch.reserve(which.size());
+          for (std::size_t i : which) {
+            const SignedMessage& env = *items_[i].env;
+            signed_bytes.push_back(epoch_signed_bytes(env.cfg_epoch, env.body));
+            batch.push_back({items_[i].key, signed_bytes.back(), &env.sig});
+          }
+          return zkp::schnorr_batch_verify(params, batch);
+        });
+  }
+
+ private:
+  struct Item {
+    const zkp::SchnorrVerifyKey* key;
+    const SignedMessage* env;
+  };
+  VerdictMemo* memo_;
+  std::vector<Item> items_;
+};
 
 // Structural part of check_commit: everything except the envelope signature,
 // which is appended to `sigs` for one combined Schnorr batch check.
 std::optional<CommitMsg> collect_commit(const SystemConfig& cfg, const SignedMessage& env,
-                                        ConfigEpoch expect_epoch, SigBatch& sigs,
-                                        SignedBytesArena& arena) {
+                                        ConfigEpoch expect_epoch, SigBatch& sigs) {
   if (env.service != static_cast<std::uint8_t>(ServiceRole::kServiceB)) return std::nullopt;
   if (env.signer == 0 || env.signer > cfg.b.cfg.n) return std::nullopt;
   if (env.cfg_epoch != expect_epoch) return std::nullopt;  // I6
   auto msg = try_decode<CommitMsg>(MsgType::kCommit, env.body);
   if (!msg) return std::nullopt;
   if (env.signer != msg->server) return std::nullopt;
-  sigs.push_back({&cfg.b.server_key(env.signer), arena_signed_bytes(arena, env), &env.sig});
+  sigs.add(cfg.b.server_key(env.signer), env);
   return msg;
 }
 
 // Structural part of check_reveal; all 2f+2 signatures (the reveal envelope
 // plus its commits) go into `sigs`.
 std::optional<RevealMsg> collect_reveal(const SystemConfig& cfg, const SignedMessage& env,
-                                        ConfigEpoch expect_epoch, SigBatch& sigs,
-                                        SignedBytesArena& arena) {
+                                        ConfigEpoch expect_epoch, SigBatch& sigs) {
   if (env.service != static_cast<std::uint8_t>(ServiceRole::kServiceB)) return std::nullopt;
   if (env.signer == 0 || env.signer > cfg.b.cfg.n) return std::nullopt;
   if (env.cfg_epoch != expect_epoch) return std::nullopt;  // I6
   auto msg = try_decode<RevealMsg>(MsgType::kReveal, env.body);
   if (!msg) return std::nullopt;
   if (env.signer != msg->id.coordinator) return std::nullopt;
-  sigs.push_back({&cfg.b.server_key(env.signer), arena_signed_bytes(arena, env), &env.sig});
+  sigs.add(cfg.b.server_key(env.signer), env);
   const std::size_t need = 2 * cfg.b.cfg.f + 1;
   if (msg->commits.size() != need) return std::nullopt;
   std::set<ServerRank> seen;
   for (const SignedMessage& commit_env : msg->commits) {
-    auto commit = collect_commit(cfg, commit_env, expect_epoch, sigs, arena);
+    auto commit = collect_commit(cfg, commit_env, expect_epoch, sigs);
     if (!commit) return std::nullopt;
     if (commit->id != msg->id) return std::nullopt;
     if (!seen.insert(commit->server).second) return std::nullopt;
@@ -254,23 +404,38 @@ bool commitment_matches(const RevealMsg& reveal, ServerRank server, const Contri
   return false;
 }
 
+// The VDE proofs of `msgs` (decoded from `envs`) in one random-linear-
+// combination batch; with a memo, only the proofs not verified before.
+bool vde_batch_ok(const SystemConfig& cfg, std::span<const SignedMessage> envs,
+                  std::span<const ContributeMsg> msgs, mpz::Prng& prng, VerdictMemo* memo) {
+  return check_each(
+      memo, msgs.size(),
+      [&](const VerdictMemo& m, std::size_t i) { return vde_key(m, cfg, envs[i]); },
+      [&](std::span<const std::size_t> which) {
+        std::vector<zkp::VdeBatchItem> vdes;
+        vdes.reserve(which.size());
+        for (std::size_t i : which) vdes.push_back(contribute_vde_item(cfg, msgs[i]));
+        return zkp::vde_batch_verify(vdes, prng);
+      });
+}
+
 }  // namespace
 
 std::optional<ContributeMsg> precheck_contribute_batch(const SystemConfig& cfg,
-                                                       const SignedMessage& env) {
+                                                       const SignedMessage& env,
+                                                       VerdictMemo* memo) {
   if (env.service != static_cast<std::uint8_t>(ServiceRole::kServiceB)) return std::nullopt;
   if (env.signer == 0 || env.signer > cfg.b.cfg.n) return std::nullopt;
   auto msg = try_decode<ContributeMsg>(MsgType::kContribute, env.body);
   if (!msg) return std::nullopt;
   if (env.signer != msg->server) return std::nullopt;
 
-  SigBatch sigs;
-  SignedBytesArena arena;
-  sigs.push_back({&cfg.b.server_key(env.signer), arena_signed_bytes(arena, env), &env.sig});
-  auto reveal = collect_reveal(cfg, msg->reveal, env.cfg_epoch, sigs, arena);
+  SigBatch sigs(memo);
+  sigs.add(cfg.b.server_key(env.signer), env);
+  auto reveal = collect_reveal(cfg, msg->reveal, env.cfg_epoch, sigs);
   if (!reveal || reveal->id != msg->id) return std::nullopt;
   if (!commitment_matches(*reveal, msg->server, *msg)) return std::nullopt;
-  if (!zkp::schnorr_batch_verify(cfg.params, sigs)) return std::nullopt;
+  if (!sigs.verify(cfg.params)) return std::nullopt;
   return msg;
 }
 
@@ -281,17 +446,19 @@ zkp::VdeBatchItem contribute_vde_item(const SystemConfig& cfg, const ContributeM
 }
 
 std::optional<ContributeMsg> check_contribute_batch(const SystemConfig& cfg,
-                                                    const SignedMessage& env, mpz::Prng& prng) {
-  auto msg = precheck_contribute_batch(cfg, env);
+                                                    const SignedMessage& env, mpz::Prng& prng,
+                                                    VerdictMemo* memo) {
+  auto msg = precheck_contribute_batch(cfg, env, memo);
   if (!msg) return std::nullopt;
-  zkp::VdeBatchItem vde = contribute_vde_item(cfg, *msg);
-  if (!zkp::vde_batch_verify(std::span<const zkp::VdeBatchItem>(&vde, 1), prng))
+  if (!vde_batch_ok(cfg, std::span<const SignedMessage>(&env, 1),
+                    std::span<const ContributeMsg>(&*msg, 1), prng, memo))
     return std::nullopt;
   return msg;
 }
 
 bool check_blind_sign_request_batch(const SystemConfig& cfg, std::span<const std::uint8_t> payload,
-                                    std::span<const std::uint8_t> evidence, mpz::Prng& prng) {
+                                    std::span<const std::uint8_t> evidence, mpz::Prng& prng,
+                                    VerdictMemo* memo) {
   auto blind = try_decode<BlindPayload>(MsgType::kBlind, payload);
   if (!blind) return false;
   BlindEvidence ev;
@@ -304,8 +471,7 @@ bool check_blind_sign_request_batch(const SystemConfig& cfg, std::span<const std
   }
 
   if (ev.contributes.size() != cfg.b.cfg.quorum()) return false;
-  SigBatch sigs;
-  SignedBytesArena arena;
+  SigBatch sigs(memo);
   std::vector<ContributeMsg> msgs;
   msgs.reserve(ev.contributes.size());
   std::set<ServerRank> servers;
@@ -319,7 +485,7 @@ bool check_blind_sign_request_batch(const SystemConfig& cfg, std::span<const std
     if (env.signer != c->server) return false;
     if (c->id != blind->id) return false;
     if (!servers.insert(c->server).second) return false;
-    sigs.push_back({&cfg.b.server_key(env.signer), arena_signed_bytes(arena, env), &env.sig});
+    sigs.add(cfg.b.server_key(env.signer), env);
     msgs.push_back(std::move(*c));
   }
 
@@ -330,20 +496,13 @@ bool check_blind_sign_request_batch(const SystemConfig& cfg, std::span<const std
   for (const ContributeMsg& c : msgs) {
     if (!(c.reveal == first.reveal)) return false;
   }
-  auto reveal = collect_reveal(cfg, first.reveal, epoch, sigs, arena);
+  auto reveal = collect_reveal(cfg, first.reveal, epoch, sigs);
   if (!reveal || reveal->id != blind->id) return false;
   for (const ContributeMsg& c : msgs) {
     if (!commitment_matches(*reveal, c.server, c)) return false;
   }
-  if (!zkp::schnorr_batch_verify(cfg.params, sigs)) return false;
-
-  std::vector<zkp::VdeBatchItem> vdes;
-  vdes.reserve(msgs.size());
-  for (const ContributeMsg& c : msgs) {
-    vdes.push_back({&cfg.a.encryption_key, &c.contribution.ea, &cfg.b.encryption_key,
-                    &c.contribution.eb, &c.vde, vde_context(c.id, c.server)});
-  }
-  if (!zkp::vde_batch_verify(vdes, prng)) return false;
+  if (!sigs.verify(cfg.params)) return false;
+  if (!vde_batch_ok(cfg, ev.contributes, msgs, prng, memo)) return false;
 
   std::vector<elgamal::Ciphertext> eas, ebs;
   for (const ContributeMsg& c : msgs) {
@@ -358,7 +517,8 @@ bool check_blind_sign_request_batch(const SystemConfig& cfg, std::span<const std
 
 bool check_done_sign_request_batch(const SystemConfig& cfg, std::span<const std::uint8_t> payload,
                                    std::span<const std::uint8_t> evidence,
-                                   const elgamal::Ciphertext& stored_ea_m, mpz::Prng& prng) {
+                                   const elgamal::Ciphertext& stored_ea_m, mpz::Prng& prng,
+                                   VerdictMemo* memo) {
   auto done = try_decode<DonePayload>(MsgType::kDone, payload);
   if (!done) return false;
   DoneEvidence ev;
@@ -370,7 +530,7 @@ bool check_done_sign_request_batch(const SystemConfig& cfg, std::span<const std:
     return false;
   }
 
-  auto blind = check_blind(cfg, ev.blind);
+  auto blind = check_blind(cfg, ev.blind, memo);
   if (!blind || blind->id != done->id) return false;
 
   auto ea_m_rho = cfg.a.encryption_key.multiply(stored_ea_m, blind->blinded.ea);
@@ -378,12 +538,28 @@ bool check_done_sign_request_batch(const SystemConfig& cfg, std::span<const std:
 
   if (ev.shares.size() != cfg.a.cfg.quorum()) return false;
   std::set<std::uint32_t> seen;
+  std::vector<mpz::Bigint> keys;
   for (const threshold::DecryptionShare& s : ev.shares) {
-    if (!seen.insert(s.index).second) return false;
+    if (s.index == 0 || !seen.insert(s.index).second) return false;
+    keys.push_back(verification_key(cfg.params, cfg.a.enc_commitments, s.index, memo));
   }
-  if (!threshold::batch_verify_decryption_shares(cfg.params, cfg.a.enc_commitments, *ea_m_rho,
-                                                 ev.shares, decrypt_context(done->id), prng))
-    return false;
+  const std::string context = decrypt_context(done->id);
+  const bool shares_ok = check_each(
+      memo, ev.shares.size(),
+      [&](const VerdictMemo& m, std::size_t i) {
+        return decrypt_share_key(m, keys[i], *ea_m_rho, ev.shares[i], context);
+      },
+      [&](std::span<const std::size_t> which) {
+        std::vector<mpz::Bigint> batch_keys;
+        std::vector<threshold::DecryptionShare> batch_shares;
+        for (std::size_t i : which) {
+          batch_keys.push_back(keys[i]);
+          batch_shares.push_back(ev.shares[i]);
+        }
+        return threshold::batch_verify_decryption_shares(cfg.params, batch_keys, *ea_m_rho,
+                                                         batch_shares, context, prng);
+      });
+  if (!shares_ok) return false;
   mpz::Bigint m_rho = threshold::combine_decryption(cfg.params, *ea_m_rho, ev.shares);
   if (m_rho != ev.m_rho) return false;
   if (!cfg.params.in_zp_star(m_rho)) return false;
@@ -396,7 +572,7 @@ bool check_done_sign_request_batch(const SystemConfig& cfg, std::span<const std:
 
 bool check_done_sign_request(const SystemConfig& cfg, std::span<const std::uint8_t> payload,
                              std::span<const std::uint8_t> evidence,
-                             const elgamal::Ciphertext& stored_ea_m) {
+                             const elgamal::Ciphertext& stored_ea_m, VerdictMemo* memo) {
   auto done = try_decode<DonePayload>(MsgType::kDone, payload);
   if (!done) return false;
   DoneEvidence ev;
@@ -408,7 +584,7 @@ bool check_done_sign_request(const SystemConfig& cfg, std::span<const std::uint8
     return false;
   }
 
-  auto blind = check_blind(cfg, ev.blind);
+  auto blind = check_blind(cfg, ev.blind, memo);
   if (!blind || blind->id != done->id) return false;
 
   // Recompute E_A(mρ) from the locally stored E_A(m) (step 6(a)).
@@ -418,11 +594,10 @@ bool check_done_sign_request(const SystemConfig& cfg, std::span<const std::uint8
   // V^id_mρ: f+1 verified decryption shares combining to mρ (step 6(b)).
   if (ev.shares.size() != cfg.a.cfg.quorum()) return false;
   std::set<std::uint32_t> seen;
+  const std::string context = decrypt_context(done->id);
   for (const threshold::DecryptionShare& s : ev.shares) {
     if (!seen.insert(s.index).second) return false;
-    if (!threshold::verify_decryption_share(cfg.params, cfg.a.enc_commitments, *ea_m_rho, s,
-                                            decrypt_context(done->id)))
-      return false;
+    if (!decryption_share_ok(cfg.params, cfg.a, *ea_m_rho, s, context, memo)) return false;
   }
   mpz::Bigint m_rho = threshold::combine_decryption(cfg.params, *ea_m_rho, ev.shares);
   if (m_rho != ev.m_rho) return false;

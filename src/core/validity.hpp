@@ -23,12 +23,18 @@
 // the first round, and splice rounds together to choose the blinding factor.
 // Together with the honest-server rule "contribute to at most one reveal per
 // instance", same-reveal evidence restores the commit-before-reveal order.
+//
+// Verify once: every check takes an optional VerdictMemo (core/verdict_memo).
+// With one, a signature or proof this node already verified is not verified
+// again; the structural rules above still run on every call, so the accept/
+// reject decision is the same with or without a memo.
 #pragma once
 
 #include <optional>
 
 #include "core/config.hpp"
 #include "core/messages.hpp"
+#include "core/verdict_memo.hpp"
 
 namespace dblind::core {
 
@@ -40,7 +46,8 @@ namespace dblind::core {
 
 // Verifies the envelope signature against the named server's public key,
 // over the epoch-prefixed bytes. False on unknown service/rank.
-[[nodiscard]] bool envelope_signature_ok(const SystemConfig& cfg, const SignedMessage& env);
+[[nodiscard]] bool envelope_signature_ok(const SystemConfig& cfg, const SignedMessage& env,
+                                         VerdictMemo* memo = nullptr);
 
 // Signs `body` with this server's key, producing the ⟨m⟩_i envelope stamped
 // with (and signature-bound to) `cfg_epoch`.
@@ -48,36 +55,50 @@ namespace dblind::core {
                                           std::vector<std::uint8_t> body, ConfigEpoch cfg_epoch,
                                           mpz::Prng& prng);
 
+// One threshold decryption share of service `svc` for ciphertext `c`
+// (threshold::verify_decryption_share against the cached h_i).
+[[nodiscard]] bool decryption_share_ok(const group::GroupParams& params, const ServicePublic& svc,
+                                       const elgamal::Ciphertext& c,
+                                       const threshold::DecryptionShare& ds,
+                                       std::string_view context, VerdictMemo* memo = nullptr);
+
 // Fig. 5 row "init": returns the decoded message iff valid.
-[[nodiscard]] std::optional<InitMsg> check_init(const SystemConfig& cfg, const SignedMessage& env);
+[[nodiscard]] std::optional<InitMsg> check_init(const SystemConfig& cfg, const SignedMessage& env,
+                                                VerdictMemo* memo = nullptr);
 
 // Fig. 5 row "commit".
 [[nodiscard]] std::optional<CommitMsg> check_commit(const SystemConfig& cfg,
-                                                    const SignedMessage& env);
+                                                    const SignedMessage& env,
+                                                    VerdictMemo* memo = nullptr);
 
 // Fig. 5 row "reveal": signature + 2f+1 different valid commits, matching id.
 [[nodiscard]] std::optional<RevealMsg> check_reveal(const SystemConfig& cfg,
-                                                    const SignedMessage& env);
+                                                    const SignedMessage& env,
+                                                    VerdictMemo* memo = nullptr);
 
 // Fig. 5 row "contribute": signature + valid VDE + contribution matches the
 // commitment inside the embedded (valid) reveal message.
 [[nodiscard]] std::optional<ContributeMsg> check_contribute(const SystemConfig& cfg,
-                                                            const SignedMessage& env);
+                                                            const SignedMessage& env,
+                                                            VerdictMemo* memo = nullptr);
 
 // Fig. 5 row "blind": threshold signature of service B over a BlindPayload.
 [[nodiscard]] std::optional<BlindPayload> check_blind(const SystemConfig& cfg,
-                                                      const ServiceSignedMsg& msg);
+                                                      const ServiceSignedMsg& msg,
+                                                      VerdictMemo* memo = nullptr);
 
 // "done": threshold signature of service A over a DonePayload.
 [[nodiscard]] std::optional<DonePayload> check_done(const SystemConfig& cfg,
-                                                    const ServiceSignedMsg& msg);
+                                                    const ServiceSignedMsg& msg,
+                                                    VerdictMemo* memo = nullptr);
 
 // Evidence for a kBlind signing request (step 5(c)): f+1 valid contribute
 // messages from distinct servers, same id, all embedding the same reveal,
 // whose combined contribution equals the payload.
 [[nodiscard]] bool check_blind_sign_request(const SystemConfig& cfg,
                                             std::span<const std::uint8_t> payload,
-                                            std::span<const std::uint8_t> evidence);
+                                            std::span<const std::uint8_t> evidence,
+                                            VerdictMemo* memo = nullptr);
 
 // Evidence for a kDone signing request (step 6(d)): valid blind message,
 // f+1 verified decryption shares for E_A(mρ) = E_A(m) × E_A(ρ) (computed
@@ -86,7 +107,8 @@ namespace dblind::core {
 [[nodiscard]] bool check_done_sign_request(const SystemConfig& cfg,
                                            std::span<const std::uint8_t> payload,
                                            std::span<const std::uint8_t> evidence,
-                                           const elgamal::Ciphertext& stored_ea_m);
+                                           const elgamal::Ciphertext& stored_ea_m,
+                                           VerdictMemo* memo = nullptr);
 
 // --- batch-verification fast path (ProtocolOptions::batch_verify) -----------
 //
@@ -101,7 +123,8 @@ namespace dblind::core {
 
 [[nodiscard]] std::optional<ContributeMsg> check_contribute_batch(const SystemConfig& cfg,
                                                                   const SignedMessage& env,
-                                                                  mpz::Prng& prng);
+                                                                  mpz::Prng& prng,
+                                                                  VerdictMemo* memo = nullptr);
 
 // --- cross-transfer drain split (concurrent multi-transfer engine) -----------
 //
@@ -117,7 +140,8 @@ namespace dblind::core {
 // check_contribute_batch, up to the same 2^-128 batch soundness error.
 
 [[nodiscard]] std::optional<ContributeMsg> precheck_contribute_batch(const SystemConfig& cfg,
-                                                                     const SignedMessage& env);
+                                                                     const SignedMessage& env,
+                                                                     VerdictMemo* memo = nullptr);
 
 // The VDE batch item for a prechecked contribute message. The returned item
 // points into `cfg` and `msg`, which must outlive its use.
@@ -127,12 +151,12 @@ namespace dblind::core {
 [[nodiscard]] bool check_blind_sign_request_batch(const SystemConfig& cfg,
                                                   std::span<const std::uint8_t> payload,
                                                   std::span<const std::uint8_t> evidence,
-                                                  mpz::Prng& prng);
+                                                  mpz::Prng& prng, VerdictMemo* memo = nullptr);
 
 [[nodiscard]] bool check_done_sign_request_batch(const SystemConfig& cfg,
                                                  std::span<const std::uint8_t> payload,
                                                  std::span<const std::uint8_t> evidence,
                                                  const elgamal::Ciphertext& stored_ea_m,
-                                                 mpz::Prng& prng);
+                                                 mpz::Prng& prng, VerdictMemo* memo = nullptr);
 
 }  // namespace dblind::core

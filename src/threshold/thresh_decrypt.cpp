@@ -24,19 +24,23 @@ DecryptionShare make_decryption_share(const group::GroupParams& params,
 bool verify_decryption_share(const group::GroupParams& params,
                              const FeldmanCommitments& commitments, const elgamal::Ciphertext& c,
                              const DecryptionShare& ds, std::string_view context) {
+  return verify_decryption_share(params, feldman_eval(params, commitments, ds.index), c, ds,
+                                 context);
+}
+
+bool verify_decryption_share(const group::GroupParams& params, const Bigint& h_i,
+                             const elgamal::Ciphertext& c, const DecryptionShare& ds,
+                             std::string_view context) {
   if (ds.index == 0) return false;
-  Bigint h_i = feldman_eval(params, commitments, ds.index);
-  zkp::DlogStatement stmt{params.g(), std::move(h_i), c.a, ds.d};
+  zkp::DlogStatement stmt{params.g(), h_i, c.a, ds.d};
   return zkp::dlog_verify(params, stmt, ds.proof, context);
 }
 
-bool share_lower_to_cp(const group::GroupParams& params, const FeldmanCommitments& commitments,
+bool share_lower_to_cp(const group::GroupParams& params, const Bigint& h_i,
                        const elgamal::Ciphertext& c, const DecryptionShare& ds,
                        std::string_view context, std::vector<zkp::CpBatchItem>& out) {
   if (ds.index == 0) return false;
-  Bigint h_i = feldman_eval(params, commitments, ds.index);
-  out.push_back({zkp::DlogStatement{params.g(), std::move(h_i), c.a, ds.d}, ds.proof,
-                 std::string(context)});
+  out.push_back({zkp::DlogStatement{params.g(), h_i, c.a, ds.d}, ds.proof, std::string(context)});
   return true;
 }
 
@@ -45,10 +49,23 @@ bool batch_verify_decryption_shares(const group::GroupParams& params,
                                     const elgamal::Ciphertext& c,
                                     std::span<const DecryptionShare> shares,
                                     std::string_view context, mpz::Prng& prng) {
+  std::vector<Bigint> keys;
+  keys.reserve(shares.size());
+  for (const DecryptionShare& ds : shares) {
+    keys.push_back(feldman_eval(params, commitments, ds.index));
+  }
+  return batch_verify_decryption_shares(params, keys, c, shares, context, prng);
+}
+
+bool batch_verify_decryption_shares(const group::GroupParams& params,
+                                    std::span<const Bigint> keys, const elgamal::Ciphertext& c,
+                                    std::span<const DecryptionShare> shares,
+                                    std::string_view context, mpz::Prng& prng) {
+  if (keys.size() != shares.size()) return false;
   std::vector<zkp::CpBatchItem> items;
   items.reserve(shares.size());
-  for (const DecryptionShare& ds : shares) {
-    if (!share_lower_to_cp(params, commitments, c, ds, context, items)) return false;
+  for (std::size_t i = 0; i < shares.size(); ++i) {
+    if (!share_lower_to_cp(params, keys[i], c, shares[i], context, items)) return false;
   }
   return zkp::cp_batch_verify(params, items, prng);
 }

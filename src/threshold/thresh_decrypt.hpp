@@ -38,12 +38,26 @@ struct DecryptionShare {
                                            const elgamal::Ciphertext& c,
                                            const DecryptionShare& ds, std::string_view context);
 
+// Same check against a precomputed verification key h_i =
+// feldman_eval(commitments, ds.index) — for callers that cache h_i per
+// configuration epoch instead of re-deriving it on every share.
+[[nodiscard]] bool verify_decryption_share(const group::GroupParams& params, const Bigint& h_i,
+                                           const elgamal::Ciphertext& c,
+                                           const DecryptionShare& ds, std::string_view context);
+
 // Batch-verifies all shares of one decryption round (same ciphertext and
 // context) with a single random-linear-combination multi-exponentiation.
 // Accepts iff every share would pass verify_decryption_share, up to the
 // 2^-zkp::kBatchRandomizerBits soundness error.
 [[nodiscard]] bool batch_verify_decryption_shares(const group::GroupParams& params,
                                                   const FeldmanCommitments& commitments,
+                                                  const elgamal::Ciphertext& c,
+                                                  std::span<const DecryptionShare> shares,
+                                                  std::string_view context, mpz::Prng& prng);
+
+// Same, with precomputed verification keys: keys[i] is shares[i]'s h_i.
+[[nodiscard]] bool batch_verify_decryption_shares(const group::GroupParams& params,
+                                                  std::span<const Bigint> keys,
                                                   const elgamal::Ciphertext& c,
                                                   std::span<const DecryptionShare> shares,
                                                   std::string_view context, mpz::Prng& prng);
@@ -55,12 +69,12 @@ struct DecryptionShare {
     const elgamal::Ciphertext& c, std::span<const DecryptionShare> shares,
     std::string_view context, mpz::Prng& prng);
 
-// Lowers one share check to its Chaum-Pedersen equation for cross-instance
-// aggregation via zkp::CpCrossBatch (the same equation the batch verifier
-// folds). Returns false (appending nothing) for the structurally invalid
-// ds.index == 0, which verify_decryption_share rejects unconditionally.
-[[nodiscard]] bool share_lower_to_cp(const group::GroupParams& params,
-                                     const FeldmanCommitments& commitments,
+// Lowers one share check, against its verification key h_i, to its
+// Chaum-Pedersen equation for cross-instance aggregation via
+// zkp::CpCrossBatch (the same equation the batch verifier folds). Returns
+// false (appending nothing) for the structurally invalid ds.index == 0,
+// which verify_decryption_share rejects unconditionally.
+[[nodiscard]] bool share_lower_to_cp(const group::GroupParams& params, const Bigint& h_i,
                                      const elgamal::Ciphertext& c, const DecryptionShare& ds,
                                      std::string_view context,
                                      std::vector<zkp::CpBatchItem>& out);

@@ -59,6 +59,24 @@ std::optional<PartialSignature> SigningMember::respond(
   return PartialSignature{share_.index, std::move(s)};
 }
 
+namespace {
+
+bool partial_well_formed(const group::GroupParams& params, const NonceReveal& reveal,
+                         const PartialSignature& partial) {
+  if (partial.index != reveal.index) return false;
+  if (partial.s.is_negative() || partial.s >= params.q()) return false;
+  return params.in_group(reveal.t);
+}
+
+// g^{s_i} == t_i · h_i^e
+bool partial_equation_holds(const group::GroupParams& params, const Bigint& h_i,
+                            const NonceReveal& reveal, const PartialSignature& partial,
+                            const Bigint& e) {
+  return params.pow_g(partial.s) == params.mul(reveal.t, params.pow(h_i, e));
+}
+
+}  // namespace
+
 Bigint combine_nonce(const group::GroupParams& params, std::span<const NonceReveal> reveals) {
   if (reveals.empty()) throw std::invalid_argument("combine_nonce: no reveals");
   std::vector<std::uint32_t> indices;
@@ -79,12 +97,16 @@ Bigint combine_nonce(const group::GroupParams& params, std::span<const NonceReve
 bool verify_partial_signature(const group::GroupParams& params,
                               const FeldmanCommitments& commitments, const NonceReveal& reveal,
                               const PartialSignature& partial, const Bigint& e) {
-  if (partial.index != reveal.index) return false;
-  if (partial.s.is_negative() || partial.s >= params.q()) return false;
-  if (!params.in_group(reveal.t)) return false;
-  Bigint h_i = feldman_eval(params, commitments, partial.index);
-  // g^{s_i} == t_i · h_i^e
-  return params.pow_g(partial.s) == params.mul(reveal.t, params.pow(h_i, e));
+  if (!partial_well_formed(params, reveal, partial)) return false;
+  return partial_equation_holds(params, feldman_eval(params, commitments, partial.index), reveal,
+                                partial, e);
+}
+
+bool verify_partial_signature(const group::GroupParams& params, const Bigint& h_i,
+                              const NonceReveal& reveal, const PartialSignature& partial,
+                              const Bigint& e) {
+  return partial_well_formed(params, reveal, partial) &&
+         partial_equation_holds(params, h_i, reveal, partial, e);
 }
 
 zkp::SchnorrSignature combine_signature(const group::GroupParams& params,

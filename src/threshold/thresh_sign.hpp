@@ -96,6 +96,10 @@ class SigningMember {
                                             const FeldmanCommitments& commitments,
                                             const NonceReveal& reveal,
                                             const PartialSignature& partial, const Bigint& e);
+// Same check against a precomputed verification key h_i for partial.index.
+[[nodiscard]] bool verify_partial_signature(const group::GroupParams& params, const Bigint& h_i,
+                                            const NonceReveal& reveal,
+                                            const PartialSignature& partial, const Bigint& e);
 
 // Combines a full quorum of verified partials into (R, s). Throws
 // std::invalid_argument on index mismatch between reveals and partials.

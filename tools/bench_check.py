@@ -96,26 +96,50 @@ backend carve must keep the default mod-p build byte-identical to PR 9):
 
 Wall-clock numbers from bench_primitives are recorded for context only.
 
+Every report records its provenance (host, compiler and the effective
+compile flags read back from the build's compile_commands.json). Like
+perfbench/run.py, the script refuses (exit 3) to write any report when a
+translation unit of the build was compiled without optimisation.
+
 Usage: bench_check.py --build-dir <dir> [--output BENCH_pr3.json]
-       (registered as ctest label `bench`; see tools/CMakeLists.txt)
+       (registered as ctest label `bench`, which writes its reports under
+       <build-dir>/bench-reports/; tools/ci.sh bench regenerates the tracked
+       BENCH_pr*.json files at the repo root; see tools/CMakeLists.txt)
 """
 
 import argparse
 import json
 import os
 import platform
+import re
+import shlex
 import subprocess
 import sys
 
 MARKER = "BENCHJSON "
 
 
+def opt_level(args):
+    """The -O level the compiler applies: the last -O flag, or None."""
+    level = None
+    for a in args:
+        if re.fullmatch(r"-O([0-9sgz]|fast)?", a):
+            level = a
+    return level
+
+
 def read_environment(build_dir):
-    """Provenance for the wall-clock columns: host + compiler + build type.
+    """Provenance for the wall-clock columns: host, compiler, effective flags.
 
     Mont-mul counts are machine-independent, but serial_ms/batch_ms are not;
     without this block a report regenerated on a different box is
     indistinguishable from a hand-edited one.
+
+    The flags come from the build's compile_commands.json, which records what
+    the compiler was really given. The CMake cache is not used: the top-level
+    CMakeLists.txt sets CMAKE_BUILD_TYPE as a plain variable, so the cache
+    records an empty build type for an -O2 -g build. Returns the environment
+    and the translation units compiled without optimisation.
     """
     env = {
         "host": platform.node(),
@@ -123,21 +147,31 @@ def read_environment(build_dir):
         "machine": platform.machine(),
         "build_dir": os.path.basename(os.path.abspath(build_dir)),
     }
-    cache = os.path.join(build_dir, "CMakeCache.txt")
-    wanted = {
-        "CMAKE_BUILD_TYPE": "cmake_build_type",
-        "CMAKE_CXX_COMPILER": "cxx_compiler",
-        "CMAKE_CXX_FLAGS": "cxx_flags",
-    }
     try:
-        with open(cache, encoding="utf-8") as fh:
-            for line in fh:
-                key = line.split(":", 1)[0]
-                if key in wanted and "=" in line:
-                    env[wanted[key]] = line.split("=", 1)[1].strip()
-    except OSError:
-        env["cmake_cache"] = "unavailable"
-    return env
+        with open(os.path.join(build_dir, "compile_commands.json"),
+                  encoding="utf-8") as fh:
+            entries = json.load(fh)
+    except (OSError, json.JSONDecodeError):
+        return env, ["compile_commands.json (unreadable)"]
+    flags = {}
+    unoptimised = []
+    for e in entries:
+        args = e.get("arguments") or shlex.split(e["command"])
+        env.setdefault("cxx_compiler", args[0])
+        if opt_level(args) in (None, "-O0", "-Og"):
+            unoptimised.append(e["file"])
+        kept, skip = [], False
+        for a in args[1:]:
+            if skip:
+                skip = False
+            elif a in ("-o", "-c", "-I", "-isystem"):
+                skip = a != "-c"
+            elif not (a.startswith("-I") or a == e["file"]):
+                kept.append(a)
+        key = " ".join(kept)
+        flags[key] = flags.get(key, 0) + 1
+    env["compile_flags"] = [{"flags": k, "sources": n} for k, n in sorted(flags.items())]
+    return env, unoptimised
 
 
 def run_fig4(build_dir):
@@ -235,6 +269,14 @@ def main():
     ap.add_argument("--skip-primitives", action="store_true",
                     help="skip the wall-clock microbenchmarks (faster CI)")
     args = ap.parse_args()
+
+    # Same rule as perfbench/run.py: wall-clock figures from an unoptimised
+    # build are not worth recording, so no report is written from one.
+    environment, unoptimised = read_environment(args.build_dir)
+    if unoptimised:
+        print("bench_check: refusing to write a report from a build without "
+              "optimisation: " + ", ".join(sorted(unoptimised)[:5]))
+        return 3
 
     rows = run_fig4(args.build_dir)
     trace_path = os.path.join(args.build_dir, "load_trace.jsonl")
@@ -408,7 +450,7 @@ def main():
 
     repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     out_path = args.output or os.path.join(repo_root, "BENCH_pr3.json")
-    environment = read_environment(args.build_dir)
+    os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
     report = {
         "gate": "verification-fast-path",
         "pass": not failures,

@@ -85,6 +85,19 @@ about, run over the token/line surface of ``src/``:
       ``make_contribution_bundle`` must draw from an ``mpz::Prng`` — pool
       randomness is never derived from constants or recycled values.
 
+  memo-epoch
+      The verify-once memo (src/core/verdict_memo.hpp) may only ever vouch
+      for a check this node ran and passed in the current configuration.
+      Two sub-checks: (1) every ``VerdictKeyBuilder``/``VerdictKey``
+      construction must pass a config epoch (an argument naming ``epoch``)
+      — a key without one could serve an epoch-e verdict after the install
+      of e+1; (2) the insertion primitives (``remember_verified``,
+      ``insert_locked``) may only be called where a successful check is
+      established: ``remember_verified`` inside the bodies of
+      ``VerdictMemo::check``/``check_all`` after their ``return false``
+      exit, ``insert_locked`` inside ``remember_verified``. Any other call
+      would store a verdict nobody verified.
+
 Waivers: append ``// crypto-lint: allow(<rule>) <reason>`` to the
 flagged line (or the line directly above it). A reason is mandatory.
 
@@ -256,6 +269,65 @@ BUNDLE_SECRET_ASSIGN = re.compile(r"\.\s*(rho|r1|r2)\s*=(.*)$")
 BUNDLE_RANDOM_SOURCE = re.compile(r"\bprng\b")
 
 
+# --- memo-epoch --------------------------------------------------------------
+# A verdict-key construction: a VerdictKeyBuilder (call, temporary or named variable)
+# or a brace-initialised VerdictKey — not the type definitions themselves.
+MEMO_KEY_CTOR = re.compile(
+    r"(?<!struct )(?<!class )\b(?:VerdictKeyBuilder(?:\s+\w+)?\s*[({]|VerdictKey(?:\s+\w+)?\s*\{)")
+MEMO_EPOCH_ARG = re.compile(r"epoch", re.IGNORECASE)
+# Insertion primitives of the memo, and their declarations/definitions.
+MEMO_INSERT_CALL = re.compile(r"\b(remember_verified|insert_locked)\s*\(")
+MEMO_INSERT_DECL = re.compile(r"\bvoid\s+(?:VerdictMemo::)?(remember_verified|insert_locked)\s*\(")
+# Column-0 definitions of the regions where each primitive may be called.
+MEMO_CHECK_FN_DEF = re.compile(r"\bVerdictMemo::check(?:_all)?\s*\(")
+MEMO_REMEMBER_FN_DEF = re.compile(r"\bVerdictMemo::remember_verified\s*\(")
+MEMO_FAIL_EXIT = re.compile(r"\breturn\s+false\s*;")
+
+
+def lint_memo_epoch(rel_path: str, lines: List[str]) -> List[Finding]:
+    findings: List[Finding] = []
+    region = None  # "check" or "remember" while inside such a definition
+    failed_out = False  # the check region's `return false` exit was seen
+    for idx, raw in enumerate(lines):
+        code = strip_comments_and_strings(raw)
+        if region is not None and raw.startswith("}"):
+            region = None
+            continue
+        opens_region = raw and not raw[0].isspace() and not code.rstrip().endswith(";")
+        if region is None and opens_region and MEMO_CHECK_FN_DEF.search(code):
+            region, failed_out = "check", False
+            continue
+        if region is None and opens_region and MEMO_REMEMBER_FN_DEF.search(code):
+            region = "remember"
+            continue
+        if region == "check" and MEMO_FAIL_EXIT.search(code):
+            failed_out = True
+
+        for m in MEMO_KEY_CTOR.finditer(code):
+            joined = " ".join([code] + [strip_comments_and_strings(l) for l in lines[idx + 1:idx + 4]])
+            args = split_call_args(joined, m.end() - 1)
+            if len(args) >= 2 and MEMO_EPOCH_ARG.search(args[1]):
+                continue
+            if not waived(lines, idx, "memo-epoch"):
+                findings.append(Finding(
+                    rel_path, idx + 1, "memo-epoch",
+                    "verdict-memo key built without a config epoch; a verdict "
+                    "from epoch e could be served after the install of e+1"))
+
+        if MEMO_INSERT_DECL.search(code):
+            continue
+        for m in MEMO_INSERT_CALL.finditer(code):
+            name = m.group(1)
+            allowed = ((name == "remember_verified" and region == "check" and failed_out)
+                       or (name == "insert_locked" and region == "remember"))
+            if not allowed and not waived(lines, idx, "memo-epoch"):
+                findings.append(Finding(
+                    rel_path, idx + 1, "memo-epoch",
+                    f"'{name}' stores a verdict outside a successful check; only "
+                    "VerdictMemo::check/check_all may store, after the check passed"))
+    return findings
+
+
 def lint_text(rel_path: str, text: str) -> List[Finding]:
     findings: List[Finding] = []
     lines = text.splitlines()
@@ -285,6 +357,8 @@ def lint_text(rel_path: str, text: str) -> List[Finding]:
                     )
                 )
             break
+
+    findings.extend(lint_memo_epoch(rel_path, lines))
 
     for idx, raw in enumerate(lines):
         line_no = idx + 1
@@ -808,6 +882,66 @@ SELF_TEST_CASES = [
         None,
         "void helper_outside_snapshot() {\n"
         "  if (pool_ != nullptr) pool_->clear();  // restore path, not snapshot\n"
+        "}",
+    ),
+    # memo-epoch must fire — a verdict key without a config epoch:
+    ("memo-epoch", "return VerdictKeyBuilder(VerdictKind::kEnvelope, 0).add(env.body).finish();"),
+    ("memo-epoch", "VerdictKeyBuilder b(VerdictKind::kVde, cfg.params.bits());"),
+    ("memo-epoch", "VerdictKey key{VerdictKind::kVde, 0, digest};"),
+    (
+        "memo-epoch",  # multi-line construction, still no epoch
+        "return VerdictKeyBuilder(VerdictKind::kDecryptShare,\n"
+        "                         ds.index)\n"
+        "    .finish();",
+    ),
+    # ...a verdict stored outside a successful check:
+    ("memo-epoch", "if (ok) memo_.remember_verified(key);"),
+    (
+        "memo-epoch",  # stored before the check's failure exit
+        "template <typename Check>\n"
+        "bool VerdictMemo::check(const VerdictKey& key, Check&& run) {\n"
+        "  if (seen(key)) return true;\n"
+        "  remember_verified(key);\n"
+        "  if (!run()) return false;\n"
+        "  return true;\n"
+        "}",
+    ),
+    (
+        "memo-epoch",  # the raw insert outside remember_verified
+        "bool VerdictMemo::seen(const VerdictKey& key) {\n"
+        "  insert_locked(key);\n"
+        "  return true;\n"
+        "}",
+    ),
+    # ...and must NOT fire:
+    (None, "return VerdictKeyBuilder(VerdictKind::kEnvelope, memo.epoch()).add(env.body).finish();"),
+    (None, "VerdictKeyBuilder(VerdictKind kind, ConfigEpoch epoch);"),
+    (None, "struct VerdictKey {\n  VerdictKind kind{};\n};"),
+    (None, "class VerdictKeyBuilder {\n public:\n};"),
+    (None, "VerdictKey key{VerdictKind::kVde, cfg_epoch_, digest};"),
+    (
+        None,
+        "return VerdictKeyBuilder(VerdictKind::kDecryptShare,\n"
+        "                         memo.epoch())\n"
+        "    .finish();",
+    ),
+    (None, "void remember_verified(const VerdictKey& key) EXCLUDES(mu_);"),
+    (
+        None,
+        "template <typename Check>\n"
+        "bool VerdictMemo::check(const VerdictKey& key, Check&& run) {\n"
+        "  if (seen(key)) return true;\n"
+        "  if (!run()) return false;\n"
+        "  remember_verified(key);\n"
+        "  return true;\n"
+        "}",
+    ),
+    (
+        None,
+        "void VerdictMemo::remember_verified(const VerdictKey& key) {\n"
+        "  MutexLock lock(mu_);\n"
+        "  if (key.epoch != epoch_) return;\n"
+        "  insert_locked(key);\n"
         "}",
     ),
 ]
